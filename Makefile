@@ -8,7 +8,7 @@ LINT_STATS := /tmp/ppeplint-stats.json
 # directory with actions/cache.
 GCFLAGS_CACHE ?= .gcflags-cache
 
-.PHONY: all test lint lint-perf fmt-check ci smoke smoke-cache loadgen-smoke fleet-smoke bench bench-guard bench-all experiments flagship fmt vet tools
+.PHONY: all test lint lint-perf fmt-check race ci smoke smoke-cache loadgen-smoke fleet-smoke bench bench-guard bench-all experiments flagship fmt vet tools
 
 all: test
 
@@ -33,17 +33,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The full merge gate, mirrored by .github/workflows/ci.yml.
-ci: fmt-check
-	$(GO) vet ./...
-	$(GO) run ./cmd/ppeplint -gcflags-cache $(GCFLAGS_CACHE)
-	$(MAKE) lint-perf
+race:
 	$(GO) test -race ./...
-	$(MAKE) smoke
-	$(MAKE) smoke-cache
-	$(MAKE) loadgen-smoke
-	$(MAKE) fleet-smoke
-	$(MAKE) bench-guard
+
+# The full merge gate: each check once, in this order. The steps of
+# .github/workflows/ci.yml are the same targets, one named step each
+# (TestCIMirrorsMakefile pins the two lists equal). lint runs every
+# analyzer, perfcheck included.
+ci: fmt-check vet lint race smoke smoke-cache loadgen-smoke fleet-smoke bench-guard
 
 # Service-mode smoke test: the httptest endpoint suite plus the
 # end-to-end faulted-loop integration test, run fresh (-count=1) so a
@@ -69,7 +66,7 @@ smoke-cache:
 # deliberately lax — CI machines are noisy; BENCH_fxsim.json carries
 # the real numbers via BenchmarkPredictServe.
 loadgen-smoke:
-	$(GO) run ./cmd/ppep-loadgen -self -duration 2s -c 16 -binary -min-rps 1000 -max-p99 250ms
+	$(GO) run ./cmd/ppep-loadgen -self -duration 2s -c 16 -min-rps 1000 -max-p99 250ms
 
 # Fleet-engine smoke test: a small sharded fleet on the heterogeneous
 # mix, asserting (1) per-node fingerprints bit-identical to a

@@ -21,7 +21,6 @@ import (
 
 	"ppep/internal/experiments"
 	"ppep/internal/loadgen"
-	"ppep/internal/serve"
 )
 
 var (
@@ -314,8 +313,8 @@ func BenchmarkServeInterval(b *testing.B) {
 // The timed loop is the in-process cost of one /predict/batch request
 // through the full mux — the pointer-load-plus-byte-write the published
 // table buys (ns/op, B/op). After the loop, a short closed-loop burst
-// over a real TCP socket (internal/loadgen, binary encoding, live
-// pointer swaps underneath) reports end-to-end throughput and tail
+// over a real TCP socket (internal/loadgen, JSON bodies, live pointer
+// swaps underneath) reports end-to-end throughput and tail
 // latency as rps / p50_ns / p99_ns / p999_ns custom metrics, which
 // benchjson lands in BENCH_fxsim.json.
 func BenchmarkPredictServe(b *testing.B) {
@@ -326,7 +325,6 @@ func BenchmarkPredictServe(b *testing.B) {
 	}
 	h := srv.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/predict/batch", nil)
-	req.Header.Set("Accept", serve.BatchContentType)
 	w := nullBenchWriter{h: make(http.Header)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -352,7 +350,7 @@ func BenchmarkPredictServe(b *testing.B) {
 	go func() { loopDone <- d.Run(ctx) }()
 	res, err := loadgen.Run(ctx, loadgen.Options{
 		URL: "http://" + ln.Addr().String(), Conns: 16,
-		Duration: 400 * time.Millisecond, Binary: true,
+		Duration: 400 * time.Millisecond,
 	})
 	cancel()
 	<-httpDone

@@ -6,7 +6,7 @@
 // Against an external daemon:
 //
 //	ppepd -serve :8080 &
-//	ppep-loadgen -url http://127.0.0.1:8080 -c 32 -duration 10s -binary
+//	ppep-loadgen -url http://127.0.0.1:8080 -c 32 -duration 10s
 //
 // Self-contained (trains slim models, binds a busy chip, serves on a
 // loopback port, then measures — the shape `make loadgen-smoke` uses):
@@ -42,7 +42,6 @@ func main() {
 		path     = flag.String("path", loadgen.DefaultPath, "endpoint to load")
 		conns    = flag.Int("c", loadgen.DefaultConns, "concurrent closed-loop workers")
 		duration = flag.Duration("duration", loadgen.DefaultDuration, "measurement window")
-		binary   = flag.Bool("binary", false, "request the binary batch encoding (Accept: application/x-ppep-batch)")
 		self     = flag.Bool("self", false, "spin up an in-process ppepd on a loopback port and load that")
 		minRPS   = flag.Float64("min-rps", 0, "exit 1 if achieved req/s is below this (0 = no assertion)")
 		maxP99   = flag.Duration("max-p99", 0, "exit 1 if p99 latency exceeds this (0 = no assertion)")
@@ -76,7 +75,7 @@ func main() {
 	}
 
 	res, err := loadgen.Run(ctx, loadgen.Options{
-		URL: target, Path: *path, Conns: *conns, Duration: *duration, Binary: *binary,
+		URL: target, Path: *path, Conns: *conns, Duration: *duration,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ppep-loadgen:", err)

@@ -11,10 +11,9 @@
 // SIGTERM, report history is bounded by a ring buffer, device reads are
 // retried with backoff, and an HTTP layer exposes /metrics, /reports,
 // /reports/latest, /predict?vf=N, /predict/batch (all VF states in one
-// response, JSON or binary via Accept), and /healthz (see
-// docs/DAEMON.md). Prediction responses are pre-rendered once per
-// interval and served lock-free; cmd/ppep-loadgen measures what that
-// sustains.
+// JSON response), and /healthz (see docs/DAEMON.md). Prediction
+// responses are pre-rendered once per interval and served lock-free;
+// cmd/ppep-loadgen measures what that sustains.
 //
 // Usage:
 //

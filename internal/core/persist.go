@@ -88,20 +88,49 @@ func (m *Models) Save(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// LoadModels deserializes a model set saved with Save.
+// validate rejects a decoded model set whose shapes or values would
+// make Analyze return nonsense without an error: a zero reference
+// voltage scales every dynamic weight by (V/0)^α, an empty idle
+// polynomial evaluates to 0 W/K or 0 W, and a non-increasing VF table
+// breaks the state ordering every governor relies on. JSON cannot carry
+// NaN or ±Inf, so every decoded number is already finite.
+func (in *modelsJSON) validate() error {
+	if in.Version != modelsVersion {
+		return fmt.Errorf("core: unsupported models version %d", in.Version)
+	}
+	vs, fs := in.Platform.Voltages, in.Platform.Freqs
+	if len(vs) == 0 || len(vs) != len(fs) {
+		return fmt.Errorf("core: malformed platform table")
+	}
+	for i := range vs {
+		if !(vs[i] > 0) || !(fs[i] > 0) {
+			return fmt.Errorf("core: platform state %d has %g V at %g GHz, want both > 0", i+1, vs[i], fs[i])
+		}
+		if i > 0 && (vs[i] <= vs[i-1] || fs[i] <= fs[i-1]) {
+			return fmt.Errorf("core: platform table not strictly increasing at state %d", i+1)
+		}
+	}
+	if len(in.Dyn.W) != arch.NumPowerEvents {
+		return fmt.Errorf("core: dynamic model has %d weights, want %d", len(in.Dyn.W), arch.NumPowerEvents)
+	}
+	if !(in.Dyn.VRef > 0) {
+		return fmt.Errorf("core: dynamic.vref %g, want > 0", in.Dyn.VRef)
+	}
+	if len(in.Idle.W1) == 0 || len(in.Idle.W0) == 0 {
+		return fmt.Errorf("core: idle model needs non-empty w1 and w0 polynomials")
+	}
+	return nil
+}
+
+// LoadModels deserializes a model set saved with Save, rejecting sets
+// that fail validate.
 func LoadModels(r io.Reader) (*Models, error) {
 	var in modelsJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: decode models: %w", err)
 	}
-	if in.Version != modelsVersion {
-		return nil, fmt.Errorf("core: unsupported models version %d", in.Version)
-	}
-	if len(in.Platform.Voltages) == 0 || len(in.Platform.Voltages) != len(in.Platform.Freqs) {
-		return nil, fmt.Errorf("core: malformed platform table")
-	}
-	if len(in.Dyn.W) != arch.NumPowerEvents {
-		return nil, fmt.Errorf("core: dynamic model has %d weights, want %d", len(in.Dyn.W), arch.NumPowerEvents)
+	if err := in.validate(); err != nil {
+		return nil, err
 	}
 	m := &Models{
 		Idle:      &idlepower.Model{W1: stats.Poly(in.Idle.W1), W0: stats.Poly(in.Idle.W0)},

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -85,6 +87,69 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	for name, body := range cases {
 		if _, err := LoadModels(strings.NewReader(body)); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestLoadRejectsBadValues starts from a trained model set's own Save
+// output and breaks one field at a time: each must be rejected with an
+// error naming what is wrong, while the unbroken file still loads
+// bit-identically (Save → Load → Save gives the same bytes and the same
+// models). The first case is the model file that used to load and
+// predict negative chip power: vref 0 and an empty idle w1.
+func TestLoadRejectsBadValues(t *testing.T) {
+	m, _ := miniCampaign(t)
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadModels(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatalf("trained model set rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got.Table, m.Table) || !reflect.DeepEqual(got.Idle, m.Idle) || !reflect.DeepEqual(got.Dyn, m.Dyn) {
+		t.Error("loaded models differ from the saved ones")
+	}
+	var resaved bytes.Buffer
+	if err := got.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+		t.Error("Save -> Load -> Save changed the bytes")
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(*modelsJSON)
+		want   string
+	}{
+		{"zero vref, empty w1", func(in *modelsJSON) { in.Dyn.VRef = 0; in.Idle.W1 = nil }, "vref"},
+		{"negative vref", func(in *modelsJSON) { in.Dyn.VRef = -1.2 }, "vref"},
+		{"empty w1", func(in *modelsJSON) { in.Idle.W1 = []float64{} }, "w1 and w0"},
+		{"empty w0", func(in *modelsJSON) { in.Idle.W0 = nil }, "w1 and w0"},
+		{"zero voltage", func(in *modelsJSON) { in.Platform.Voltages[0] = 0 }, "want both > 0"},
+		{"negative frequency", func(in *modelsJSON) { in.Platform.Freqs[2] = -3.5 }, "want both > 0"},
+		{"voltages not increasing", func(in *modelsJSON) {
+			v := in.Platform.Voltages
+			v[1], v[2] = v[2], v[1]
+		}, "not strictly increasing at state 3"},
+		{"repeated frequency", func(in *modelsJSON) { in.Platform.Freqs[4] = in.Platform.Freqs[3] }, "not strictly increasing at state 5"},
+		{"pg state outside table", func(in *modelsJSON) { in.PG = []pgJSON{{State: 7, CU: 1, NB: 1, Base: 1}} }, "unknown state 7"},
+	}
+	for _, c := range cases {
+		var in modelsJSON
+		if err := json.Unmarshal(saved.Bytes(), &in); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(&in)
+		body, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModels(bytes.NewReader(body)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
 }

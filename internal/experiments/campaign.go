@@ -15,6 +15,7 @@ import (
 	"ppep/internal/core/energy"
 	"ppep/internal/core/pgidle"
 	"ppep/internal/fxsim"
+	"ppep/internal/pool"
 	"ppep/internal/simcache"
 	"ppep/internal/trace"
 	"ppep/internal/units"
@@ -45,12 +46,6 @@ type Options struct {
 	// CacheMaxBytes caps the cache directory's total size; oldest
 	// entries are evicted past it (0 = unbounded).
 	CacheMaxBytes int64
-	// ReferenceTick pins every simulated chip to fxsim's reference
-	// per-tick path instead of the batched quiescent-run engine. The two
-	// are bit-identical, so this changes timings, never results; it
-	// exists for debugging and A/B measurement (ppep-experiments
-	// -reftick).
-	ReferenceTick bool
 }
 
 // validate rejects option values that would otherwise be silently
@@ -93,17 +88,13 @@ type Campaign struct {
 	exploreErr  error
 }
 
-// ChipConfig returns the campaign platform's chip config with the
-// campaign-wide simulation options (Options.ReferenceTick) applied.
-// Every harness that builds a chip goes through it, so one flag switches
-// the whole campaign between the batched and reference tick engines.
+// ChipConfig returns the campaign platform's default chip config.
+// Every harness that builds a chip goes through it.
 func (c *Campaign) ChipConfig() fxsim.Config {
-	cfg := fxsim.DefaultFX8320Config()
 	if c.Platform == arch.PhenomII.Name {
-		cfg = fxsim.DefaultPhenomIIConfig()
+		return fxsim.DefaultPhenomIIConfig()
 	}
-	cfg.ReferenceTick = c.opts.ReferenceTick
-	return cfg
+	return fxsim.DefaultFX8320Config()
 }
 
 // scaleBench returns a copy of b with its length scaled.
@@ -174,47 +165,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// forEachJob runs fn(i) for every i in [0,n) on a bounded pool:
-// min(workers, n) goroutines drain an index channel, so at most
-// `workers` jobs are in flight and no goroutine is created before it has
-// work to do. Every campaign phase shares this shape; determinism comes
-// from each job writing only its own index of a pre-sized result slice
-// and deriving any randomness from the job's identity, never from
-// scheduling order.
-func forEachJob(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // truncate keeps at most n runs (n == 0 keeps all).
@@ -324,7 +274,7 @@ func (c *Campaign) collectIdle(seedName string, mkCfg func() fxsim.Config) error
 	states := c.Table.States()
 	trs := make([]*trace.Trace, len(states))
 	errs := make([]error, len(states))
-	forEachJob(len(states), c.opts.workers(), func(i int) {
+	pool.ForEach(len(states), c.opts.workers(), func(i int) {
 		vf := states[i]
 		cfg := mkCfg()
 		cfg.SensorSeed = seedOf(seedName, vf)
@@ -361,7 +311,7 @@ func (c *Campaign) collect(runs []workload.Run, mkCfg func() fxsim.Config) error
 	}
 	results := make([]core.RunTrace, len(jobs))
 	errs := make([]error, len(jobs))
-	forEachJob(len(jobs), c.opts.workers(), func(i int) {
+	pool.ForEach(len(jobs), c.opts.workers(), func(i int) {
 		j := jobs[i]
 		cfg := mkCfg()
 		cfg.SensorSeed = seedOf(j.run.Name, j.vf)
@@ -463,7 +413,7 @@ func (c *Campaign) pgSweepAll(states []arch.VFState) (map[arch.VFState]pgidle.Sw
 	}
 	powers := make([]units.Watts, len(cells))
 	errs := make([]error, len(cells))
-	forEachJob(len(cells), c.opts.workers(), func(i int) {
+	pool.ForEach(len(cells), c.opts.workers(), func(i int) {
 		var w float64
 		w, errs[i] = c.pgCell(cells[i].vf, cells[i].pg, cells[i].busy)
 		powers[i] = units.Watts(w)

@@ -59,9 +59,8 @@ type Config struct {
 	// ReferenceTick disables the batched quiescent-run engine and runs
 	// every tick through the reference per-tick path. The two paths are
 	// bit-identical (the equivalence harness in engine_test.go pins
-	// this), so the switch exists for debugging and for the harness
-	// itself, not for correctness. The `ppep_reftick` build tag forces
-	// the same behaviour module-wide.
+	// this), so the switch exists for the harness itself, not for
+	// correctness.
 	ReferenceTick bool
 }
 

@@ -37,7 +37,7 @@ const probeBackoff = 16
 // the tick-rate paths are allocation-free.
 type engine struct {
 	// disabled pins the chip to the reference path for its whole life
-	// (Config.ReferenceTick or the ppep_reftick build tag).
+	// (Config.ReferenceTick).
 	disabled bool
 	// neverFast marks configurations whose per-tick state can change
 	// without any Chip mutator running: hardware boost reevaluates the
@@ -114,7 +114,7 @@ func (c *Chip) EngineStats() EngineStats {
 // init sizes the engine for the chip's topology and latches the
 // structural disqualifiers.
 func (e *engine) init(cfg *Config, nCores, nCUs int) {
-	e.disabled = cfg.ReferenceTick || buildReferenceTick
+	e.disabled = cfg.ReferenceTick
 	e.neverFast = cfg.BoostEnabled
 	e.busyList = make([]int, nCores)
 	e.phase = make([]*workload.Phase, nCores)

@@ -149,7 +149,7 @@ func TestEngineEquivalence(t *testing.T) {
 			bindAll(t, c, long, c.Topology().NumCores(), false)
 			return intervals(c, 10)
 		})
-		if !buildReferenceTick && st.FastTicks < 1500 {
+		if st.FastTicks < 1500 {
 			t.Errorf("fast path barely engaged on the canonical steady workload: %+v", st)
 		}
 	})
@@ -161,7 +161,7 @@ func TestEngineEquivalence(t *testing.T) {
 			bindAll(t, c, long, 4, false)
 			return intervals(c, 6)
 		})
-		if !buildReferenceTick && st.FastTicks == 0 {
+		if st.FastTicks == 0 {
 			t.Errorf("fast path never engaged: %+v", st)
 		}
 	})
@@ -177,7 +177,7 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 			return intervals(c, 5)
 		})
-		if !buildReferenceTick && st.FastTicks == 0 {
+		if st.FastTicks == 0 {
 			t.Errorf("fast path never engaged: %+v", st)
 		}
 	})
@@ -190,7 +190,7 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 			return intervals(c, 8)
 		})
-		if !buildReferenceTick && st.FastTicks == 0 {
+		if st.FastTicks == 0 {
 			t.Errorf("fast path never engaged: %+v", st)
 		}
 	})
@@ -203,7 +203,7 @@ func TestEngineEquivalence(t *testing.T) {
 			c.UnbindAll()
 			return append(out, intervals(c, 2)...)
 		})
-		if !buildReferenceTick && st.FastTicks == 0 {
+		if st.FastTicks == 0 {
 			t.Errorf("fast path never engaged while gated idle: %+v", st)
 		}
 	})
@@ -416,9 +416,6 @@ func steadyChip(t testing.TB) *Chip {
 // TestFastTickZeroAlloc pins the fast path's allocation-free guarantee,
 // mirroring TestTickZeroAlloc for the reference path.
 func TestFastTickZeroAlloc(t *testing.T) {
-	if buildReferenceTick {
-		t.Skip("ppep_reftick build: every chip is pinned to the reference path")
-	}
 	t.Run("busy", func(t *testing.T) {
 		c := steadyChip(t)
 		c.TickN(64)

@@ -13,7 +13,7 @@
 //     body has order-dependent effects, so fixed seeds keep producing
 //     bit-identical campaigns.
 //   - poolsafety: bodies dispatched onto the bounded worker pool
-//     (forEachJob) may write only their own index of pre-sized slices,
+//     (pool.ForEach) may write only their own index of pre-sized slices,
 //     package-level or shared captured state only under a lock.
 //   - errcheck: no silently dropped error returns; discarding via `_ =`
 //     requires an adjacent justification comment.
@@ -74,9 +74,10 @@ type Config struct {
 	// DeterminismPkgs is the set of import paths the determinism
 	// analyzer covers.
 	DeterminismPkgs map[string]bool
-	// PoolFuncNames are the module functions treated as worker-pool
-	// dispatchers: the poolsafety analyzer checks the func literal
-	// passed as their last argument.
+	// PoolFuncNames are the functions treated as worker-pool
+	// dispatchers, keyed by qualified name (types.Func.FullName, e.g.
+	// "ppep/internal/pool.ForEach"): the poolsafety analyzer checks the
+	// func literal passed as their last argument.
 	PoolFuncNames map[string]bool
 	// UnitsPkg is the import path of the physical-units package; empty
 	// disables the unitcheck analyzer.
@@ -104,7 +105,7 @@ type Config struct {
 // DefaultConfig returns the analyzer scope for this repository: the
 // simulation and campaign packages are determinism-checked (including the
 // sensor/stats/workload RNG users, which must stay on seeded *rand.Rand),
-// and forEachJob is the worker-pool dispatcher.
+// and pool.ForEach is the worker-pool dispatcher.
 func DefaultConfig(modulePath string) Config {
 	pkgs := map[string]bool{}
 	for _, p := range []string{
@@ -148,7 +149,7 @@ func DefaultConfig(modulePath string) Config {
 	}
 	return Config{
 		DeterminismPkgs: pkgs,
-		PoolFuncNames:   map[string]bool{"forEachJob": true},
+		PoolFuncNames:   map[string]bool{path.Join(modulePath, "internal/pool") + ".ForEach": true},
 		UnitsPkg:        path.Join(modulePath, "internal/units"),
 		UnitPkgs:        unitPkgs,
 		CtxPkgs:         ctxPkgs,

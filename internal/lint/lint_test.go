@@ -37,7 +37,7 @@ func fixtureModule(t *testing.T) *Module {
 func fixtureConfig() Config {
 	return Config{
 		DeterminismPkgs: map[string]bool{"fixture/determinism": true},
-		PoolFuncNames:   map[string]bool{"forEachJob": true},
+		PoolFuncNames:   map[string]bool{"fixture/pool.ForEach": true},
 		UnitsPkg:        "fixture/units",
 		UnitPkgs:        map[string]bool{"fixture/unitcheck": true},
 		CtxPkgs:         map[string]bool{"fixture/ctxcheck": true},

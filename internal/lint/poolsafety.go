@@ -8,7 +8,8 @@ import (
 
 // runPoolSafety checks func literals dispatched onto the bounded worker
 // pool (calls to the functions named in cfg.PoolFuncNames, e.g.
-// forEachJob). Worker bodies run concurrently, so they may only:
+// ppep/internal/pool.ForEach). Worker bodies run concurrently, so they
+// may only:
 //
 //   - write through an index expression that mentions the worker's own
 //     index parameter (the owned-slot pattern: results[i] = ...), or
@@ -28,7 +29,7 @@ func runPoolSafety(m *Module, cfg Config) []Finding {
 					return true
 				}
 				obj := calleeOf(pkg.Info, call)
-				if obj == nil || !cfg.PoolFuncNames[obj.Name()] || !m.inModule(obj.Pkg().Path()) {
+				if obj == nil || !cfg.PoolFuncNames[obj.FullName()] {
 					return true
 				}
 				if len(call.Args) == 0 {

@@ -1,24 +1,21 @@
 // Package poolsafety is an analyzer fixture: worker bodies handed to the
-// pool dispatcher writing shared state, next to the owned-slot and
-// mutex-guarded shapes the analyzer must accept.
+// shared pool dispatcher (fixture/pool.ForEach) writing shared state,
+// next to the owned-slot and mutex-guarded shapes the analyzer must
+// accept.
 package poolsafety
 
-import "sync"
+import (
+	"sync"
+
+	"fixture/pool"
+)
 
 var hits int
-
-// forEachJob stands in for the module's bounded worker pool: the last
-// argument is the worker body, invoked concurrently with job indices.
-func forEachJob(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
 
 // OwnedSlots writes only the worker's own index: accepted.
 func OwnedSlots(n int) []int {
 	out := make([]int, n)
-	forEachJob(n, func(i int) {
+	pool.ForEach(n, 0, func(i int) {
 		x := i * i // worker-private local: accepted
 		out[i] = x
 	})
@@ -28,7 +25,7 @@ func OwnedSlots(n int) []int {
 func Races(n int) int {
 	total := 0
 	first := 0
-	forEachJob(n, func(i int) {
+	pool.ForEach(n, 0, func(i int) {
 		hits++     // want "package-level hits"
 		total += i // want "captured variable total"
 		first = i  // want "captured variable first"
@@ -38,7 +35,7 @@ func Races(n int) int {
 
 func SharedSlot(n int) []int {
 	out := make([]int, 1)
-	forEachJob(n, func(i int) {
+	pool.ForEach(n, 0, func(i int) {
 		out[0] = i // want "index not derived from the worker's parameter"
 	})
 	return out
@@ -48,7 +45,7 @@ func SharedSlot(n int) []int {
 func Locked(n int) int {
 	var mu sync.Mutex
 	total := 0
-	forEachJob(n, func(i int) {
+	pool.ForEach(n, 0, func(i int) {
 		mu.Lock()
 		total += i
 		mu.Unlock()
@@ -60,9 +57,27 @@ func Locked(n int) int {
 // a progress sample); the allow keeps the exception visible.
 func Sampled(n int) int {
 	latest := 0
-	forEachJob(n, func(i int) {
+	pool.ForEach(n, 0, func(i int) {
 		//ppep:allow poolsafety progress sample; any worker's value is acceptable
 		latest = i
 	})
 	return latest
+}
+
+// ForEach shares the pool's name but not its package, so it is not a
+// dispatcher and its bodies are not checked.
+func ForEach(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
+// NotThePool writes a captured variable through the look-alike:
+// accepted.
+func NotThePool(n int) int {
+	total := 0
+	ForEach(n, func(i int) {
+		total += i
+	})
+	return total
 }

@@ -18,10 +18,6 @@ const (
 	DefaultDuration = 2 * time.Second
 )
 
-// batchContentType mirrors serve.BatchContentType without importing the
-// server package — the generator is a client and should stay one.
-const batchContentType = "application/x-ppep-batch"
-
 // Options configures one load run.
 type Options struct {
 	// URL is the server base, e.g. "http://127.0.0.1:8080". Required.
@@ -33,8 +29,6 @@ type Options struct {
 	Conns int
 	// Duration bounds the run (DefaultDuration if zero).
 	Duration time.Duration
-	// Binary asks /predict/batch for the binary frame instead of JSON.
-	Binary bool
 }
 
 // Result is the outcome of one load run.
@@ -122,9 +116,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 					res.requests++
 					res.errors++
 					return // a malformed URL will not improve with retries
-				}
-				if opts.Binary {
-					req.Header.Set("Accept", batchContentType)
 				}
 				t0 := time.Now()
 				resp, err := client.Do(req)

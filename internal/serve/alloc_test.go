@@ -36,15 +36,12 @@ func TestPredictAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	binReq := httptest.NewRequest(http.MethodGet, "/predict/batch", nil)
-	binReq.Header.Set("Accept", BatchContentType)
 	cases := []struct {
 		name string
 		req  *http.Request
 	}{
 		{"predict", httptest.NewRequest(http.MethodGet, "/predict?vf=3", nil)},
-		{"batch JSON", httptest.NewRequest(http.MethodGet, "/predict/batch", nil)},
-		{"batch binary", binReq},
+		{"batch", httptest.NewRequest(http.MethodGet, "/predict/batch", nil)},
 	}
 	w := nullResponseWriter{h: make(http.Header)}
 	const budget = 2.0
@@ -52,5 +49,33 @@ func TestPredictAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(500, func() { h.ServeHTTP(w, c.req) }); got > budget {
 			t.Errorf("%s: %.1f allocs/request, budget %.0f", c.name, got, budget)
 		}
+	}
+}
+
+// TestObserveAllocs pins the per-interval render cost on the sampling
+// goroutine: one snapshot holding the per-VF /predict bodies and the
+// /predict/batch body. TestServeIntervalAllocs in the daemon package
+// stands a no-op in for Observe, so this is the pin that sees the
+// renders. The race detector makes sync.Pool drop items at random, so
+// the JSON encoder's allocation count is not stable there.
+func TestObserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	d, err := daemon.AttachOpts(busyChip(t), models(t), nil, daemon.Options{HistoryCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(d, Options{})
+	if err := d.RunIntervals(2); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		srv.pub.Store(nil) // defeat the same-table early return
+		srv.Observe(daemon.Record{})
+	})
+	const ceiling = 19
+	if n > ceiling {
+		t.Errorf("Observe allocates %.1f times, want <= %d", n, ceiling)
 	}
 }

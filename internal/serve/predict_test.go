@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -71,9 +72,10 @@ func batchGet(t *testing.T, h http.Handler, accept string) *httptest.ResponseRec
 	return rr
 }
 
-// TestPredictBatch pins the batch endpoint end to end: the JSON body
-// carries every VF state, the binary body decodes to bit-identical
-// values, and content negotiation picks the encoding off Accept.
+// TestPredictBatch pins the batch endpoint end to end: the body is the
+// published table as JSON, carrying every VF state, and it is the same
+// bytes whatever the client's Accept header says — including the media
+// type of the retired binary frame, so an old client still gets a 200.
 func TestPredictBatch(t *testing.T) {
 	d, err := daemon.AttachOpts(busyChip(t), models(t), nil, daemon.Options{HistoryCap: 8})
 	if err != nil {
@@ -85,7 +87,6 @@ func TestPredictBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// JSON by default.
 	rr := batchGet(t, h, "")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("/predict/batch = %d", rr.Code)
@@ -111,105 +112,28 @@ func TestPredictBatch(t *testing.T) {
 			t.Errorf("%v: empty row %+v", row.VF, row)
 		}
 	}
-
-	// Binary when negotiated, including as one of several offers.
-	for _, accept := range []string{BatchContentType, "application/json, " + BatchContentType} {
-		rr = batchGet(t, h, accept)
-		if rr.Code != http.StatusOK {
-			t.Fatalf("binary batch (Accept %q) = %d", accept, rr.Code)
-		}
-		if ct := rr.Header().Get("Content-Type"); ct != BatchContentType {
-			t.Errorf("binary Content-Type %q", ct)
-		}
-		viaBin, err := DecodeBatch(rr.Body.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Both encodings must describe the same values. Go's JSON float
-		// encoding is shortest-round-trip, so even the JSON path is
-		// bit-exact and DeepEqual is the right comparison.
-		if !reflect.DeepEqual(viaBin, &viaJSON) {
-			t.Errorf("binary and JSON batch responses diverge:\nbin  %+v\njson %+v", viaBin, &viaJSON)
-		}
-	}
-
-	// Unrelated Accept values fall back to JSON.
-	rr = batchGet(t, h, "text/html")
-	if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("unrelated Accept got Content-Type %q", ct)
-	}
-
-	// The binary body is the same frame the codec produces from the
-	// published table.
+	// Go's JSON float encoding is shortest-round-trip, so the decoded
+	// body is bit-identical to the published table.
 	if pub := d.Predictions(); pub == nil {
 		t.Fatal("no published table after intervals")
-	} else if got := batchGet(t, h, BatchContentType).Body.Bytes(); !reflect.DeepEqual(got, EncodeBatch(pub)) {
-		t.Error("binary response is not the canonical encoding of the published table")
-	}
-}
-
-// TestBatchCodecErrors pins the decoder's corruption handling: bad
-// magic, wrong schema, truncations, oversized counts, and trailing
-// garbage all error out (wrapping the sentinel) instead of panicking
-// or returning a partial table.
-func TestBatchCodecErrors(t *testing.T) {
-	tab := &core.PredictionTable{
-		Seq: 7, TimeS: 1.4, DurS: 0.2, MeasuredVF: arch.VF5,
-		MeasPowerW: 55, TempK: 330,
-		Rows: []core.PredictionRow{
-			{VF: arch.VF1, CPI: 1.2, TotalIPS: 1e9, ChipW: 30, IdleW: 20, DynW: 10, IntervalEnergyJ: 6, JPerInst: 3e-8, EDP: 3e-17},
-			{VF: arch.VF2, CPI: 1.3, TotalIPS: 2e9, ChipW: 40, IdleW: 25, DynW: 15, IntervalEnergyJ: 8, JPerInst: 2e-8, EDP: 1e-17},
-		},
-	}
-	good := EncodeBatch(tab)
-	if dec, err := DecodeBatch(good); err != nil {
-		t.Fatal(err)
-	} else if !reflect.DeepEqual(dec, tab) {
-		t.Fatalf("round trip diverges: %+v", dec)
+	} else if !reflect.DeepEqual(&viaJSON, pub) {
+		t.Errorf("batch body diverges from the published table:\njson %+v\npub  %+v", &viaJSON, pub)
 	}
 
-	check := func(name string, data []byte, want error) {
-		t.Helper()
-		if _, err := DecodeBatch(data); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		} else if want != nil && !errorsIs(err, want) {
-			t.Errorf("%s: error %v does not wrap %v", name, err, want)
+	// Unrelated Accept values fall back to the same JSON bytes.
+	const vendorType = "application/x-ppep-"
+	for _, accept := range []string{"text/html", "application/json", vendorType + "batch", "application/json, " + vendorType + "batch"} {
+		got := batchGet(t, h, accept)
+		if got.Code != http.StatusOK {
+			t.Errorf("Accept %q: status %d", accept, got.Code)
+		}
+		if ct := got.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Accept %q got Content-Type %q", accept, ct)
+		}
+		if !bytes.Equal(got.Body.Bytes(), rr.Body.Bytes()) {
+			t.Errorf("Accept %q got a different body", accept)
 		}
 	}
-	check("empty", nil, ErrBatchCorrupt)
-	check("bad magic", append([]byte("XXXX"), good[4:]...), ErrBatchCorrupt)
-	for cut := 1; cut < len(good); cut += 13 {
-		check("truncated", good[:len(good)-cut], nil)
-	}
-	check("trailing bytes", append(append([]byte{}, good...), 0xAB), ErrBatchCorrupt)
-
-	wrongVersion := append([]byte{}, good...)
-	wrongVersion[4] = 99
-	check("schema", wrongVersion, ErrBatchSchema)
-
-	// Row count larger than the data present must be rejected before
-	// any allocation sized off it.
-	oversized := append([]byte{}, good...)
-	oversized[batchHeaderSize-4] = 0xFF
-	oversized[batchHeaderSize-3] = 0xFF
-	oversized[batchHeaderSize-2] = 0xFF
-	oversized[batchHeaderSize-1] = 0x7F
-	check("oversized row count", oversized, ErrBatchCorrupt)
-}
-
-// errorsIs avoids importing errors alongside the test's other needs.
-func errorsIs(err, target error) bool {
-	for err != nil {
-		if err == target {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // TestReportsEdgeCases covers the /reports query-window corners: ?n=0

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ppep/internal/core"
 	"ppep/internal/daemon"
 )
 
@@ -68,7 +70,7 @@ func TestServeConcurrentEndpointReaders(t *testing.T) {
 	}
 }
 
-// TestPredictBatchConcurrentSwaps decodes binary batch responses while
+// TestPredictBatchConcurrentSwaps decodes batch responses while
 // the daemon keeps publishing new tables, pinning — under -race — that
 // the snapshot swap is torn-read-free: every response a reader decodes
 // is a complete, internally consistent table (all five rows, in order,
@@ -99,15 +101,13 @@ func TestPredictBatchConcurrentSwaps(t *testing.T) {
 			defer wg.Done()
 			var lastSeq uint64
 			for i := 0; i < iters; i++ {
-				req := httptest.NewRequest(http.MethodGet, "/predict/batch", nil)
-				req.Header.Set("Accept", BatchContentType)
 				rr := httptest.NewRecorder()
-				h.ServeHTTP(rr, req)
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/predict/batch", nil))
 				if rr.Code == http.StatusNotFound {
 					continue // before the first interval
 				}
-				tab, err := DecodeBatch(rr.Body.Bytes())
-				if err != nil {
+				var tab core.PredictionTable
+				if err := json.Unmarshal(rr.Body.Bytes(), &tab); err != nil {
 					t.Errorf("iter %d: %v", i, err)
 					return
 				}

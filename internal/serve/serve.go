@@ -14,8 +14,8 @@
 // Prediction reads are O(1) and lock-free: at every interval end the
 // daemon publishes an immutable per-VF projection table
 // (core.PredictionTable) and Observe pre-renders every response body —
-// one JSON blob per VF state, the batch JSON, and the batch binary
-// frame — into an immutable snapshot behind an atomic pointer. A
+// one JSON blob per VF state and the batch JSON — into an immutable
+// snapshot behind an atomic pointer. A
 // /predict or /predict/batch request is then a pointer load and a
 // buffer write: zero model work, zero encoding, and at most two heap
 // allocations per request (pinned by TestPredictAllocs). The paper's
@@ -33,7 +33,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,10 +123,8 @@ type published struct {
 	table *core.PredictionTable
 	// perVF holds the /predict?vf=N response bodies, index VF-1.
 	perVF [][]byte
-	// batchJSON and batchBin are the /predict/batch bodies in both
-	// negotiable encodings.
+	// batchJSON is the /predict/batch response body.
 	batchJSON []byte
-	batchBin  []byte
 }
 
 // New wires a server onto the daemon: the daemon's OnInterval callback
@@ -173,7 +170,6 @@ func (s *Server) Observe(daemon.Record) {
 		table:     t,
 		perVF:     make([][]byte, len(t.Rows)),
 		batchJSON: renderJSON(t),
-		batchBin:  EncodeBatch(t),
 	}
 	for i := range t.Rows {
 		p.perVF[i] = renderJSON(prediction{
@@ -390,19 +386,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // handlePredictBatch returns every VF state's projection in one
 // response — the paper's whole point, one observation prices all
-// states, as a single read. The body is pre-rendered JSON, or the
-// binary frame (batchcodec.go) when the client sends
-// `Accept: application/x-ppep-batch`.
+// states, as a single read. The body is pre-rendered JSON whatever the
+// client's Accept header says.
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	p := s.pub.Load()
 	if p == nil {
 		http.Error(w, "no interval completed yet", http.StatusNotFound)
-		return
-	}
-	if strings.Contains(r.Header.Get("Accept"), BatchContentType) {
-		w.Header().Set("Content-Type", BatchContentType)
-		// best-effort: the client may have gone away mid-response
-		_, _ = w.Write(p.batchBin)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
