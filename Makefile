@@ -42,11 +42,13 @@ race:
 # analyzer, perfcheck included.
 ci: fmt-check vet lint race smoke smoke-cache loadgen-smoke fleet-smoke bench-guard
 
-# Service-mode smoke test: the httptest endpoint suite plus the
-# end-to-end faulted-loop integration test, run fresh (-count=1) so a
-# cached `go test ./...` pass can't mask an ppepd -serve regression.
+# Daemon smoke test: the httptest endpoint suite, the end-to-end
+# faulted-loop integration test, and the ppepd batch run, all fresh
+# (-count=1) so a cached `go test ./...` pass can't mask a ppepd
+# regression in either mode.
 smoke:
 	$(GO) test -count=1 -run 'TestServe|TestListenAndServe' ./internal/serve
+	$(GO) test -count=1 -run 'TestBatchRun' ./cmd/ppepd
 
 # Trace-cache smoke test: run a reduced campaign twice into the same
 # fresh cache directory; the second run must be pure decode (misses=0

@@ -1,15 +1,17 @@
 // Command ppepd runs the PPEP daemon against a simulated chip, the way
 // the paper's user-level daemon runs on real silicon: it trains the
 // models once, binds a workload, then samples the hardware every 200 ms —
-// counters through the MSR interface, temperature through hwmon — and
-// prints live per-chip PPE projections for every VF state, applying an
-// optional DVFS policy.
+// counters through the MSR interface, temperature through hwmon —
+// analyzes the interval, and applies an optional DVFS policy.
 //
-// With -serve it instead runs as an always-on service (Section IV-E as
-// deployed): the sampling/analyze/policy loop becomes a
-// context-cancellable goroutine that shuts down cleanly on SIGINT or
-// SIGTERM, report history is bounded by a ring buffer, device reads are
-// retried with backoff, and an HTTP layer exposes /metrics, /reports,
+// Both modes run that one loop (daemon.Run) on one stack: the same
+// device path, history ring, read retries, fault injection and policy.
+// By default ppepd runs -seconds of simulated time flat out, printing
+// live per-chip PPE projections for every VF state every fifth
+// interval. With -serve it instead runs as an always-on service
+// (Section IV-E as deployed): the loop becomes a context-cancellable
+// goroutine paced by -pace that shuts down cleanly on SIGINT or
+// SIGTERM, and an HTTP layer exposes /metrics, /reports,
 // /reports/latest, /predict?vf=N, /predict/batch (all VF states in one
 // JSON response), and /healthz (see docs/DAEMON.md). Prediction
 // responses are pre-rendered once per interval and served lock-free;
@@ -17,17 +19,20 @@
 //
 // Usage:
 //
-//	ppepd [-workload 433x2] [-vf 5] [-seconds 10] [-policy none|energy|edp|cap]
-//	      [-cap 70] [-scale 0.05] [-load models.json]
-//	      [-serve :8080] [-ring 512] [-pace 200ms]
+//	ppepd [-workload 433x2] [-vf 5] [-policy none|energy|edp|cap] [-cap 70]
+//	      [-scale 0.05] [-load models.json] [-ring 512]
 //	      [-fault-msr 0.1] [-fault-hwmon 0.1]
+//	      [-seconds 10 | -serve :8080 [-pace 200ms]]
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -39,8 +44,6 @@ import (
 	"ppep/internal/dvfs"
 	"ppep/internal/experiments"
 	"ppep/internal/fxsim"
-	"ppep/internal/hwmon"
-	"ppep/internal/msr"
 	"ppep/internal/serve"
 	"ppep/internal/trace"
 	"ppep/internal/units"
@@ -66,8 +69,8 @@ func (f flags) validate(table arch.VFTable) error {
 	if f.vf < 1 || f.vf > len(table) {
 		return fmt.Errorf("ppepd: -vf %d out of range: this platform has VF states 1..%d", f.vf, len(table))
 	}
-	if f.seconds <= 0 {
-		return fmt.Errorf("ppepd: -seconds %v must be positive", f.seconds)
+	if !(f.seconds > 0) || f.intervals() < 1 {
+		return fmt.Errorf("ppepd: -seconds %v must be positive and round to at least one 200 ms interval", f.seconds)
 	}
 	if f.scale <= 0 {
 		return fmt.Errorf("ppepd: -scale %v must be positive", f.scale)
@@ -90,21 +93,27 @@ func (f flags) validate(table arch.VFTable) error {
 	return nil
 }
 
+// intervals is the number of 200 ms decision intervals a batch run of
+// -seconds completes.
+func (f flags) intervals() uint64 {
+	return uint64(math.Round(f.seconds * 1000 / arch.DecisionIntervalMS))
+}
+
 func main() {
 	var (
 		wl      = flag.String("workload", "433x2", "workload: SPEC number with instance count (429x1, 433x4), 'mix' for the capping mix")
 		vf      = flag.Int("vf", 5, "initial VF state (1..5)")
-		seconds = flag.Float64("seconds", 10, "run length in simulated seconds")
+		seconds = flag.Float64("seconds", 10, "batch mode: run length in simulated seconds")
 		policy  = flag.String("policy", "none", "DVFS policy: none, energy, edp, cap")
 		capW    = flag.Float64("cap", 70, "power budget for -policy cap")
 		scale   = flag.Float64("scale", 0.05, "training campaign scale")
 		load    = flag.String("load", "", "load model coefficients from a ppep-train -save file instead of training")
 
 		serveAddr  = flag.String("serve", "", "run as an always-on service on this HTTP address (e.g. :8080) instead of a finite batch")
-		ring       = flag.Int("ring", 512, "service mode: report history ring capacity (0 = unbounded)")
+		ring       = flag.Int("ring", 512, "report history ring capacity (0 = unbounded)")
 		pace       = flag.Duration("pace", 200*time.Millisecond, "service mode: wall-clock pacing per simulated 200 ms interval (0 = flat out)")
-		faultMSR   = flag.Float64("fault-msr", 0, "service mode: injected transient MSR fault rate in [0, 1)")
-		faultHwmon = flag.Float64("fault-hwmon", 0, "service mode: injected transient diode fault rate in [0, 1)")
+		faultMSR   = flag.Float64("fault-msr", 0, "injected transient MSR fault rate in [0, 1)")
+		faultHwmon = flag.Float64("fault-hwmon", 0, "injected transient diode fault rate in [0, 1)")
 	)
 	flag.Parse()
 
@@ -146,65 +155,109 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	d, err := attach(models, run, *policy, fl)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *serveAddr != "" {
+		os.Exit(runServe(d, run.Name, *policy, *serveAddr, fl))
+	}
+	if err := runBatch(os.Stdout, d, fl.intervals()); err != nil {
+		fmt.Fprintln(os.Stderr, "ppepd:", err)
+		os.Exit(1)
+	}
+}
+
+// attach builds the daemon stack both modes run: a chip at 318 K with
+// the workload bound endlessly (every instance stretched and re-bound on
+// completion, so the chip never idles out), the device-level daemon with
+// a bounded history ring and read retries, optional fault injection, the
+// initial VF state, and the -policy.
+func attach(models *core.Models, run workload.Run, policy string, fl flags) (*daemon.Daemon, error) {
 	cfg := fxsim.DefaultFX8320Config()
 	cfg.PowerGating = true
-	if *policy == "cap" {
-		cfg.PerCUPlanes = true
-	}
+	cfg.PerCUPlanes = policy == "cap"
 	chip := fxsim.New(cfg)
 	chip.SetTempK(318)
 
-	if *serveAddr != "" {
-		os.Exit(runServe(chip, models, run, *policy, *serveAddr, fl))
+	for i := range run.Members {
+		b := *run.Members[i].Bench
+		b.Instructions = 1e15
+		run.Members[i].Bench = &b
 	}
-	runBatch(chip, models, run, *policy, fl)
+	if _, err := chip.PlaceRun(run, fxsim.PlaceScatter, true); err != nil {
+		return nil, err
+	}
+
+	d, err := daemon.AttachOpts(chip, models, nil, daemon.Options{
+		HistoryCap: fl.ring,
+		Retry:      daemon.Retry{Attempts: 4, Backoff: 100 * time.Microsecond},
+	})
+	if err != nil {
+		return nil, err
+	}
+	if d.Policy, err = newPolicy(policy, models, fl.capW, d.Counters()); err != nil {
+		return nil, err
+	}
+	if err := chip.SetAllPStates(arch.VFState(fl.vf)); err != nil {
+		return nil, err
+	}
+	if fl.faultMSR > 0 || fl.faultHwmon > 0 {
+		d.InjectFaults(fl.faultMSR, fl.faultHwmon, 1)
+		log.Printf("ppepd: fault injection on (msr=%.0f%%, hwmon=%.0f%%)",
+			100*fl.faultMSR, 100*fl.faultHwmon)
+	}
+	return d, nil
 }
 
 // ---- batch mode (finite run, live printing) ----
 
-func runBatch(chip *fxsim.Chip, models *core.Models, run workload.Run, policy string, fl flags) {
-	// Device-level access, as on the real platform.
-	msrDev := msr.Open(chip)
-	diode := hwmon.Open(chip)
-
-	var counters daemon.Counters
-	rejectLog := newRateLimited(2 * time.Second)
-
-	var ctl fxsim.Controller
-	switch policy {
-	case "none":
-	case "energy":
-		ctl = policyFunc(func(ch *fxsim.Chip, iv trace.Interval) {
-			if rep, err := models.Analyze(iv); err == nil {
-				applyAll(ch, dvfs.EnergyOptimal(rep), &counters, rejectLog)
+// runBatch runs the daemon flat out for exactly n completed intervals,
+// writing the live PPE report to w every fifth interval. A failed write
+// stops the run and is returned.
+func runBatch(w io.Writer, d *daemon.Daemon, n uint64) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var buf bytes.Buffer
+	var werr error
+	d.OnInterval = func(rec daemon.Record) {
+		if rec.Seq%5 == 1 {
+			buf.Reset()
+			printReport(&buf, rec)
+			if _, werr = w.Write(buf.Bytes()); werr != nil {
+				cancel()
 			}
-		})
-	case "edp":
-		ctl = policyFunc(func(ch *fxsim.Chip, iv trace.Interval) {
-			if rep, err := models.Analyze(iv); err == nil {
-				applyAll(ch, dvfs.EDPOptimal(rep), &counters, rejectLog)
-			}
-		})
-	case "cap":
-		ctl = &dvfs.PPEPCapper{Models: models, Target: func(units.Seconds) units.Watts { return units.Watts(fl.capW) }}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", policy)
-		os.Exit(2)
+		}
+		if rec.Seq >= n {
+			cancel()
+		}
 	}
+	if err := d.Run(ctx); !isCanceled(err) {
+		return err
+	}
+	if werr != nil {
+		return werr
+	}
+	logSummary(d)
+	return nil
+}
 
-	printer := &daemonPrinter{models: models, inner: ctl, msr: msrDev, diode: diode,
-		counters: &counters, errLog: newRateLimited(2 * time.Second)}
-	_, err := chip.Collect(run, fxsim.RunOpts{
-		VF: arch.VFState(fl.vf), MaxTimeS: fl.seconds, Restart: true,
-		Placement: fxsim.PlaceScatter, WarmTempK: 318, Controller: printer,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if s := counters.Snapshot(); s.AnalyzeErrors > 0 || s.PolicyRejects > 0 {
-		fmt.Fprintf(os.Stderr, "ppepd: %d analyze errors, %d rejected policy decisions during the run\n",
-			s.AnalyzeErrors, s.PolicyRejects)
+// printReport renders one interval's measurement and its projection at
+// every VF state, the measured state starred.
+func printReport(b *bytes.Buffer, rec daemon.Record) {
+	iv, rep := &rec.Interval, rec.Report
+	fmt.Fprintf(b, "t=%5.1fs  diode=%.1f°C  state=%v  measured=%.1fW\n",
+		iv.TimeS, float64(units.Kelvin(iv.TempK).Celsius()), iv.VF(), iv.MeasPowerW)
+	fmt.Fprintf(b, "  %-6s %10s %10s %10s %12s\n", "state", "chip W", "idle W", "IPS", "J/interval")
+	for i := len(rep.PerVF) - 1; i >= 0; i-- {
+		p := rep.PerVF[i]
+		marker := " "
+		if p.VF == rep.MeasuredVF {
+			marker = "*"
+		}
+		fmt.Fprintf(b, " %s%-6v %10.1f %10.1f %10.2e %12.2f\n",
+			marker, p.VF, p.ChipW, p.IdleW, p.TotalIPS, p.IntervalEnergyJ)
 	}
 }
 
@@ -217,11 +270,6 @@ func applyAll(ch *fxsim.Chip, s arch.VFState, counters *daemon.Counters, rl *rat
 		rl.logf("ppepd: policy request for %v rejected: %v", s, err)
 	}
 }
-
-// policyFunc adapts a closure into a Controller.
-type policyFunc func(*fxsim.Chip, trace.Interval)
-
-func (f policyFunc) Decide(c *fxsim.Chip, iv trace.Interval) { f(c, iv) }
 
 // rateLimited emits through log.Printf at most once per period, counting
 // what it suppressed in between.
@@ -249,87 +297,11 @@ func (r *rateLimited) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// daemonPrinter prints the live PPE report each interval, then delegates
-// to the wrapped policy.
-type daemonPrinter struct {
-	models   *core.Models
-	inner    fxsim.Controller
-	msr      *msr.Device
-	diode    *hwmon.Sensor
-	counters *daemon.Counters
-	errLog   *rateLimited
-	step     int
-}
-
-func (d *daemonPrinter) Decide(chip *fxsim.Chip, iv trace.Interval) {
-	d.step++
-	rep, err := d.models.Analyze(iv)
-	if err != nil {
-		// An unanalyzable interval (e.g. a mid-run counter glitch) is an
-		// operational event, not a silent skip.
-		d.counters.AnalyzeErrors.Add(1)
-		d.errLog.logf("ppepd: interval t=%.1fs not analyzable: %v", iv.TimeS, err)
-		return
-	}
-	if d.step%5 == 1 {
-		// Demonstrate the device-level read path alongside the interval.
-		pstate, _ := d.msr.Rdmsr(0, msr.PStateStatus)
-		fmt.Printf("t=%5.1fs  diode=%.1f°C  P-state=P%d  measured=%.1fW\n",
-			iv.TimeS, float64(d.diode.Temp1InputMilliC())/1000, pstate, iv.MeasPowerW)
-		fmt.Printf("  %-6s %10s %10s %10s %12s\n", "state", "chip W", "idle W", "IPS", "J/interval")
-		for i := len(rep.PerVF) - 1; i >= 0; i-- {
-			p := rep.PerVF[i]
-			marker := " "
-			if p.VF == rep.MeasuredVF {
-				marker = "*"
-			}
-			fmt.Printf(" %s%-6v %10.1f %10.1f %10.2e %12.2f\n",
-				marker, p.VF, p.ChipW, p.IdleW, p.TotalIPS, p.IntervalEnergyJ)
-		}
-	}
-	if d.inner != nil {
-		d.inner.Decide(chip, iv)
-	}
-}
-
 // ---- service mode (-serve) ----
 
-// runServe runs the always-on daemon: workload bound endlessly, bounded
-// history ring, device retries, optional fault injection, HTTP
-// observability, and graceful shutdown on SIGINT/SIGTERM.
-func runServe(chip *fxsim.Chip, models *core.Models, run workload.Run, policy, addr string, fl flags) int {
-	// Service workloads run forever: stretch every instance and re-bind
-	// on completion so the chip never idles out.
-	for i := range run.Members {
-		b := *run.Members[i].Bench
-		b.Instructions = 1e15
-		run.Members[i].Bench = &b
-	}
-	if _, err := chip.PlaceRun(run, fxsim.PlaceScatter, true); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
-	d, err := daemon.AttachOpts(chip, models, nil, daemon.Options{
-		HistoryCap: fl.ring,
-		Retry:      daemon.Retry{Attempts: 4, Backoff: 100 * time.Microsecond},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	d.Policy = servePolicy(policy, models, fl.capW, d.Counters())
-	if fl.vf != 0 {
-		if err := chip.SetAllPStates(arch.VFState(fl.vf)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if fl.faultMSR > 0 || fl.faultHwmon > 0 {
-		d.InjectFaults(fl.faultMSR, fl.faultHwmon, 1)
-		log.Printf("ppepd: fault injection on (msr=%.0f%%, hwmon=%.0f%%)",
-			100*fl.faultMSR, 100*fl.faultHwmon)
-	}
+// runServe runs the always-on daemon: paced against the wall clock,
+// HTTP observability, and graceful shutdown on SIGINT/SIGTERM.
+func runServe(d *daemon.Daemon, workloadName, policy, addr string, fl flags) int {
 	if fl.pace > 0 {
 		d.Throttle = func() { time.Sleep(fl.pace) }
 	}
@@ -340,9 +312,9 @@ func runServe(chip *fxsim.Chip, models *core.Models, run workload.Run, policy, a
 	srv := serve.New(d, serve.Options{StaleAfter: staleAfter(fl.pace)})
 	loopDone := make(chan error, 1)
 	go func() { loopDone <- d.Run(ctx) }()
-	log.Printf("ppepd: serving on %s (workload %s, policy %s, ring %d)", addr, run.Name, policy, fl.ring)
+	log.Printf("ppepd: serving on %s (workload %s, policy %s, ring %d)", addr, workloadName, policy, fl.ring)
 
-	err = srv.ListenAndServe(ctx, addr)
+	err := srv.ListenAndServe(ctx, addr)
 	stop() // a server failure must also stop the sampling loop
 	if lerr := <-loopDone; lerr != nil && !isCanceled(lerr) {
 		fmt.Fprintln(os.Stderr, "ppepd: sampling loop:", lerr)
@@ -352,10 +324,15 @@ func runServe(chip *fxsim.Chip, models *core.Models, run workload.Run, policy, a
 		fmt.Fprintln(os.Stderr, "ppepd:", err)
 		return 1
 	}
-	s := d.Counters().Snapshot()
-	log.Printf("ppepd: clean shutdown after %d intervals (%d skipped, %d msr retries, %d hwmon retries)",
-		s.Intervals, s.SkippedIntervals, s.MSRRetries, s.HwmonRetries)
+	logSummary(d)
 	return 0
+}
+
+// logSummary logs the end-of-run counters, the same line in both modes.
+func logSummary(d *daemon.Daemon) {
+	s := d.Counters().Snapshot()
+	log.Printf("ppepd: clean shutdown after %d intervals (%d skipped, %d analyze errors, %d policy rejects, %d msr retries, %d hwmon retries)",
+		s.Intervals, s.SkippedIntervals, s.AnalyzeErrors, s.PolicyRejects, s.MSRRetries, s.HwmonRetries)
 }
 
 // staleAfter derives a /healthz staleness threshold from the pacing: a
@@ -374,29 +351,28 @@ func isCanceled(err error) bool {
 	return err == context.Canceled || err == context.DeadlineExceeded
 }
 
-// servePolicy maps the -policy flag onto a daemon.Policy with rejection
-// counting (surfaced at /metrics as ppep_policy_rejects_total).
-func servePolicy(name string, models *core.Models, capW float64, counters *daemon.Counters) daemon.Policy {
+// newPolicy maps the -policy flag onto a daemon.Policy with rejection
+// counting (surfaced at /metrics as ppep_policy_rejects_total). The
+// policy consumes the daemon's report, so an interval is analyzed once.
+func newPolicy(name string, models *core.Models, capW float64, counters *daemon.Counters) (daemon.Policy, error) {
 	rl := newRateLimited(2 * time.Second)
 	switch name {
 	case "none":
-		return nil
+		return nil, nil
 	case "energy":
 		return daemon.PolicyFunc(func(ch *fxsim.Chip, iv trace.Interval, rep *core.Report) {
 			applyAll(ch, dvfs.EnergyOptimal(rep), counters, rl)
-		})
+		}), nil
 	case "edp":
 		return daemon.PolicyFunc(func(ch *fxsim.Chip, iv trace.Interval, rep *core.Report) {
 			applyAll(ch, dvfs.EDPOptimal(rep), counters, rl)
-		})
+		}), nil
 	case "cap":
 		capper := &dvfs.PPEPCapper{Models: models, Target: func(units.Seconds) units.Watts { return units.Watts(capW) }}
 		return daemon.PolicyFunc(func(ch *fxsim.Chip, iv trace.Interval, rep *core.Report) {
 			capper.Decide(ch, iv)
-		})
+		}), nil
 	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", name)
-		os.Exit(2)
-		return nil
+		return nil, fmt.Errorf("ppepd: unknown policy %q", name)
 	}
 }

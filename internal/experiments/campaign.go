@@ -34,8 +34,6 @@ type Options struct {
 	MaxRunsPerSuite int
 	// Workers bounds the parallel simulation fan-out (0 = GOMAXPROCS).
 	Workers int
-	// SkipPhenom omits the secondary-platform validation campaign.
-	SkipPhenom bool
 	// CacheDir, when non-empty, enables the persistent simulation-trace
 	// cache: every deterministic cell (benchmark collection, idle
 	// transients, PG sweep cells, exploration runs) is keyed by its full

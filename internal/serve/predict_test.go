@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"ppep/internal/arch"
 	"ppep/internal/core"
@@ -201,10 +200,8 @@ func TestReportsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestServerTimeouts pins the http.Server hardening: defaults applied
-// when Options is zero, overrides respected, negatives meaning
-// "disabled" — a slow client must not be able to pin a connection
-// forever by default.
+// TestServerTimeouts pins the http.Server hardening: every timeout is
+// set — a slow client must not be able to pin a connection forever.
 func TestServerTimeouts(t *testing.T) {
 	d, err := daemon.AttachOpts(busyChip(t), models(t), nil, daemon.Options{HistoryCap: 4})
 	if err != nil {
@@ -217,25 +214,6 @@ func TestServerTimeouts(t *testing.T) {
 		hs.WriteTimeout != DefaultWriteTimeout ||
 		hs.IdleTimeout != DefaultIdleTimeout {
 		t.Errorf("default timeouts not applied: %+v", hs)
-	}
-
-	hs = New(d, Options{
-		ReadHeaderTimeout: time.Second,
-		ReadTimeout:       2 * time.Second,
-		WriteTimeout:      3 * time.Second,
-		IdleTimeout:       4 * time.Second,
-	}).httpServer(":0")
-	if hs.ReadHeaderTimeout != time.Second || hs.ReadTimeout != 2*time.Second ||
-		hs.WriteTimeout != 3*time.Second || hs.IdleTimeout != 4*time.Second {
-		t.Errorf("timeout overrides not applied: %+v", hs)
-	}
-
-	hs = New(d, Options{ReadTimeout: -1, WriteTimeout: -1}).httpServer(":0")
-	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
-		t.Errorf("negative (disabled) timeouts not honoured: %+v", hs)
-	}
-	if hs.ReadHeaderTimeout != DefaultReadHeaderTimeout {
-		t.Errorf("unset field lost its default next to disabled ones: %+v", hs)
 	}
 }
 
